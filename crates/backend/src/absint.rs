@@ -55,6 +55,7 @@ use crate::graph::{Graph, GraphError};
 use crate::lir;
 use crate::op::Op;
 use crate::verify::{ShapeFact, SymDim};
+use crate::walk::WalkKind;
 
 /// Relative rounding slack applied to widen elementwise f32 arithmetic.
 /// f32 unit roundoff is ~1.2e-7; two orders of magnitude of headroom
@@ -1049,6 +1050,16 @@ pub fn transfer(
         }
         Op::Where => a_where(&i(0), &i(1), &i(2)),
         Op::Gather { .. } | Op::GatherRows => i(0),
+        // Leaf indices: TT lands on the root or a child pointer, PTT on a
+        // perfect-tree leaf slot — the range that proves the downstream
+        // `GatherRows` in bounds.
+        Op::TreeWalk {
+            kind: WalkKind::Tt, ..
+        } => ValueFact::point(0.0).join(&i(3)).join(&i(4)),
+        Op::TreeWalk {
+            kind: WalkKind::Ptt,
+            depth,
+        } => ValueFact::finite(0.0, 2f64.powi(*depth as i32) - 1.0),
         Op::IndexSelect { .. } => i(0),
         Op::Concat { .. } => {
             let mut f = i(0);

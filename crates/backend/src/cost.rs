@@ -199,7 +199,11 @@ fn node_class(op: &Op) -> Option<String> {
         | Op::Mean { .. }
         | Op::ReduceMax { .. }
         | Op::ArgMax { .. } => "reduce".to_string(),
-        Op::Gather { .. } | Op::GatherRows | Op::IndexSelect { .. } => "gather".to_string(),
+        // A tree walk is a chain of dependent table lookups: priced as
+        // gathers, per comparison.
+        Op::Gather { .. } | Op::GatherRows | Op::IndexSelect { .. } | Op::TreeWalk { .. } => {
+            "gather".to_string()
+        }
         Op::Fused(k) => format!("fused:{}", k.class_label()),
         Op::Input(_)
         | Op::Const(_)
@@ -368,13 +372,23 @@ pub fn cost_nodes(graph: &Graph) -> Result<Vec<NodeCost>, CostError> {
                     .ok_or_else(unknown)?;
                 std_bytes(&mut bytes);
             }
+            Op::TreeWalk { depth, .. } => {
+                flops.add_mono(out_n, *depth as f64).ok_or_else(unknown)?;
+                std_bytes(&mut bytes);
+            }
             _ => {
                 flops.add_mono(out_n, 1.0).ok_or_else(unknown)?;
                 std_bytes(&mut bytes);
             }
         }
+        // Mirrors `Op::cost`: one traversal per output element, a tree
+        // walk's once per level.
+        let per_elem = match &node.op {
+            Op::TreeWalk { depth, .. } => *depth as f64,
+            _ => 1.0,
+        };
         let mut traversals = CostPoly::zero();
-        traversals.add_mono(out_n, 1.0).ok_or_else(unknown)?;
+        traversals.add_mono(out_n, per_elem).ok_or_else(unknown)?;
         out.push(NodeCost {
             node: id,
             op: node.op.label(),

@@ -12,7 +12,7 @@ use crate::fault::FaultPlan;
 use crate::graph::Graph;
 use crate::op::{DestMut, Op};
 use crate::optimize::{optimize, OptStats};
-use crate::plan::{infer_batch, MemoryPlan};
+use crate::plan::{infer_batch, MemoryPlan, SlotSpec};
 use crate::Backend;
 
 /// Bound on the per-executable plan cache: one warm plan per recently-seen
@@ -142,13 +142,15 @@ pub struct RunStats {
     /// Total output elements traversed by launched kernels (the
     /// `hb-backend::cost` element-traversal counter, measured side).
     pub traversals: f64,
-    /// Measured peak host tensor bytes during the run.
+    /// Measured peak host tensor bytes during the run, counted on the
+    /// thread executing it (concurrent runs elsewhere do not leak in).
     pub peak_tensor_bytes: usize,
     /// Modeled peak device-memory residency (parameters + live
     /// intermediates), for simulated devices.
     pub sim_peak_bytes: u64,
-    /// Tensor storage allocations performed during the run. A warm planned
-    /// run on the Compiled backend performs zero.
+    /// Tensor storage allocations performed during the run, counted on
+    /// the thread executing it. A warm planned run on the Compiled
+    /// backend performs zero.
     pub allocations: usize,
     /// Bytes of the static arena backing this run (planned runs only).
     pub arena_bytes: usize,
@@ -632,9 +634,7 @@ impl Executable {
         };
         let free_early = self.refcounts.is_some();
         let start = Instant::now();
-        alloc::reset_peak();
-        let host_before = alloc::current_bytes();
-        let allocs_before = alloc::alloc_count();
+        let window = alloc::ThreadWindow::open();
 
         let n = self.graph.nodes.len();
         let mut vals: Vec<Option<DynTensor>> = vec![None; n];
@@ -783,8 +783,8 @@ impl Executable {
             }
         }
         stats.wall = start.elapsed();
-        stats.peak_tensor_bytes = alloc::peak_bytes().saturating_sub(host_before);
-        stats.allocations = alloc::alloc_count().saturating_sub(allocs_before);
+        stats.peak_tensor_bytes = window.peak_bytes();
+        stats.allocations = window.allocations();
         stats.cancelled = self.cancelled.load(Ordering::Relaxed);
         Ok((outputs, stats))
     }
@@ -809,9 +809,7 @@ impl Executable {
             Device::Cpu { .. } => None,
         };
         let start = Instant::now();
-        alloc::reset_peak();
-        let host_before = alloc::current_bytes();
-        let allocs_before = alloc::alloc_count();
+        let window = alloc::ThreadWindow::open();
 
         let n = self.graph.nodes.len();
         let mut vals: Vec<Option<DynTensor>> = vec![None; n];
@@ -885,45 +883,24 @@ impl Executable {
                                 }
                             }
                             vals[src] = None;
-                            let applied = match &mut slots[*slot] {
-                                DynTensor::F32(t) => match t.as_mut_slice() {
-                                    Some(buf) => {
-                                        if let Err(p) =
-                                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                                || op.apply_inplace_f32(buf),
-                                            ))
-                                        {
-                                            return Err(ExecError::Kernel {
-                                                node: id,
-                                                message: panic_message(p),
-                                            });
-                                        }
-                                        true
-                                    }
-                                    None => false,
-                                },
-                                _ => false,
+                            unpin(&mut slots[*slot], &plan.slots[*slot], true);
+                            let Some(buf) = f32_buf(&mut slots[*slot]) else {
+                                return Err(ExecError::Kernel {
+                                    node: id,
+                                    message: "planner marked a non-f32 map in-place".to_string(),
+                                });
                             };
-                            let out = if applied {
-                                slot_view(&slots[*slot], shape)
-                            } else {
-                                // Self-heal: a stale alias still pins the
-                                // slot, so rebuild the operand from the
-                                // (unmodified) slot data and run the
-                                // allocating kernel instead.
-                                let rebuilt = slot_view(&slots[*slot], shape);
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    op.eval(&[&rebuilt])
-                                })) {
-                                    Ok(v) => v,
-                                    Err(p) => {
-                                        return Err(ExecError::Kernel {
-                                            node: id,
-                                            message: panic_message(p),
-                                        })
-                                    }
-                                }
-                            };
+                            if let Err(p) =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    op.apply_inplace_f32(buf)
+                                }))
+                            {
+                                return Err(ExecError::Kernel {
+                                    node: id,
+                                    message: panic_message(p),
+                                });
+                            }
+                            let out = slot_view(&slots[*slot], shape);
                             // A unary map's cost is symmetric in operand
                             // and result, so the result stands in for the
                             // dropped operand.
@@ -972,52 +949,25 @@ impl Executable {
                                     })
                                 }
                             };
-                            let applied = match &mut slots[*slot] {
-                                DynTensor::F32(t) => match t.as_mut_slice() {
-                                    Some(buf) => {
-                                        if let Err(p) = std::panic::catch_unwind(
-                                            std::panic::AssertUnwindSafe(|| {
-                                                kern.eval_in_place(
-                                                    *operand,
-                                                    &ins,
-                                                    shape,
-                                                    &mut buf[..numel],
-                                                )
-                                            }),
-                                        ) {
-                                            return Err(ExecError::Kernel {
-                                                node: id,
-                                                message: panic_message(p),
-                                            });
-                                        }
-                                        true
-                                    }
-                                    None => false,
-                                },
-                                _ => false,
+                            unpin(&mut slots[*slot], &plan.slots[*slot], true);
+                            let Some(buf) = f32_buf(&mut slots[*slot]) else {
+                                return Err(ExecError::Kernel {
+                                    node: id,
+                                    message: "planner marked a non-f32 fused kernel in-place"
+                                        .to_string(),
+                                });
                             };
-                            let out = if applied {
-                                slot_view(&slots[*slot], shape)
-                            } else {
-                                // Self-heal: a stale alias still pins the
-                                // slot, so rebuild the operand from the
-                                // (unmodified) slot data and run the
-                                // allocating kernel instead.
-                                let rebuilt = slot_view(&slots[*slot], shape);
-                                let full: Vec<&DynTensor> =
-                                    ins.iter().map(|o| o.unwrap_or(&rebuilt)).collect();
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    op.eval(&full)
-                                })) {
-                                    Ok(v) => v,
-                                    Err(p) => {
-                                        return Err(ExecError::Kernel {
-                                            node: id,
-                                            message: panic_message(p),
-                                        })
-                                    }
-                                }
-                            };
+                            if let Err(p) =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    kern.eval_in_place(*operand, &ins, shape, &mut buf[..numel])
+                                }))
+                            {
+                                return Err(ExecError::Kernel {
+                                    node: id,
+                                    message: panic_message(p),
+                                });
+                            }
+                            let out = slot_view(&slots[*slot], shape);
                             // The destroyed operand had exactly the output
                             // shape, so the result stands in for it in the
                             // (shape-only) cost model.
@@ -1061,58 +1011,36 @@ impl Executable {
                                     })
                                 }
                             };
+                            unpin(&mut slots[*slot], &plan.slots[*slot], true);
+                            unpin(&mut slots[*scratch], &plan.slots[*scratch], false);
                             // Two distinct slots (data + panel scratch) need
                             // simultaneous mutable access.
                             let (lo, hi) = ((*slot).min(*scratch), (*slot).max(*scratch));
-                            let applied = {
-                                let (left, right) = slots.split_at_mut(hi);
-                                let (data_slot, scratch_slot) = if *slot < *scratch {
-                                    (&mut left[lo], &mut right[0])
-                                } else {
-                                    (&mut right[0], &mut left[lo])
-                                };
-                                match (data_slot, scratch_slot) {
-                                    (DynTensor::F32(d), DynTensor::F32(s)) => {
-                                        match (d.as_mut_slice(), s.as_mut_slice()) {
-                                            (Some(buf), Some(scr)) => {
-                                                if let Err(p) = std::panic::catch_unwind(
-                                                    std::panic::AssertUnwindSafe(|| {
-                                                        hb_tensor::matmul::matmul_in_place(
-                                                            buf, &lhs_shape, rhs, scr,
-                                                        )
-                                                    }),
-                                                ) {
-                                                    return Err(ExecError::Kernel {
-                                                        node: id,
-                                                        message: panic_message(p),
-                                                    });
-                                                }
-                                                true
-                                            }
-                                            _ => false,
-                                        }
-                                    }
-                                    _ => false,
-                                }
-                            };
-                            let out = if applied {
-                                slot_view(&slots[*slot], shape)
+                            let (left, right) = slots.split_at_mut(hi);
+                            let (data_slot, scratch_slot) = if *slot < *scratch {
+                                (&mut left[lo], &mut right[0])
                             } else {
-                                // Self-heal: the LHS data is still intact in
-                                // its slot; rebuild it and run allocating.
-                                let rebuilt = slot_view(&slots[*slot], &lhs_shape);
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    op.eval(&[&rebuilt, rhs_val])
-                                })) {
-                                    Ok(v) => v,
-                                    Err(p) => {
-                                        return Err(ExecError::Kernel {
-                                            node: id,
-                                            message: panic_message(p),
-                                        })
-                                    }
-                                }
+                                (&mut right[0], &mut left[lo])
                             };
+                            let (Some(buf), Some(scr)) =
+                                (f32_buf(data_slot), f32_buf(scratch_slot))
+                            else {
+                                return Err(ExecError::Kernel {
+                                    node: id,
+                                    message: "planner assigned a non-f32 matmul slot".to_string(),
+                                });
+                            };
+                            if let Err(p) =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    hb_tensor::matmul::matmul_in_place(buf, &lhs_shape, rhs, scr)
+                                }))
+                            {
+                                return Err(ExecError::Kernel {
+                                    node: id,
+                                    message: panic_message(p),
+                                });
+                            }
+                            let out = slot_view(&slots[*slot], shape);
                             // Cost reads only shapes, so a shape-correct
                             // view of the (now overwritten) slot stands in
                             // for the destroyed LHS.
@@ -1128,18 +1056,7 @@ impl Executable {
                             inplace: Inplace::No,
                         } => {
                             let numel: usize = shape.iter().product();
-                            // Self-heal: if a previous run's caller still
-                            // holds views into this slot, replace the
-                            // buffer (a counted allocation).
-                            let unique = match &mut slots[*slot] {
-                                DynTensor::F32(t) => t.as_mut_slice().is_some(),
-                                DynTensor::I64(t) => t.as_mut_slice().is_some(),
-                                DynTensor::Bool(t) => t.as_mut_slice().is_some(),
-                                DynTensor::U8(t) => t.as_mut_slice().is_some(),
-                            };
-                            if !unique {
-                                slots[*slot] = plan.slots[*slot].allocate();
-                            }
+                            unpin(&mut slots[*slot], &plan.slots[*slot], false);
                             #[allow(clippy::disallowed_methods)] // freed-too-early is a planner bug
                             let ins: Vec<&DynTensor> = node
                                 .inputs
@@ -1149,7 +1066,7 @@ impl Executable {
                                 })
                                 .collect();
                             let res = {
-                                #[allow(clippy::disallowed_methods)] // uniqueness ensured above
+                                #[allow(clippy::disallowed_methods)] // unpinned above
                                 let dest = match &mut slots[*slot] {
                                     DynTensor::F32(t) => DestMut::F32(
                                         &mut t.as_mut_slice().expect("slot is unique")[..numel],
@@ -1272,12 +1189,45 @@ impl Executable {
         // The arena is allocated once at plan time, outside this run's
         // peak window; report it alongside transient allocations so the
         // figure stays comparable with refcount runs.
-        stats.peak_tensor_bytes = plan
-            .arena_bytes
-            .saturating_add(alloc::peak_bytes().saturating_sub(host_before));
-        stats.allocations = alloc::alloc_count().saturating_sub(allocs_before);
+        stats.peak_tensor_bytes = plan.arena_bytes.saturating_add(window.peak_bytes());
+        stats.allocations = window.allocations();
         stats.cancelled = self.cancelled.load(Ordering::Relaxed);
         Ok((outputs, stats))
+    }
+}
+
+/// Makes an arena slot writable for this run. A slot still pinned by
+/// views a caller kept from an earlier run's answer is replaced with a
+/// fresh buffer (one counted allocation) and the kernel then runs inside
+/// it, exactly as on an unpinned slot. With `keep`, the pinned contents
+/// are copied over first: an in-place step's operand lives in its data
+/// slot (in-place steps are f32-only).
+fn unpin(slot: &mut DynTensor, spec: &SlotSpec, keep: bool) {
+    let unique = match slot {
+        DynTensor::F32(t) => t.as_mut_slice().is_some(),
+        DynTensor::I64(t) => t.as_mut_slice().is_some(),
+        DynTensor::Bool(t) => t.as_mut_slice().is_some(),
+        DynTensor::U8(t) => t.as_mut_slice().is_some(),
+    };
+    if unique {
+        return;
+    }
+    let mut fresh = spec.allocate();
+    if keep {
+        if let (DynTensor::F32(dst), DynTensor::F32(src)) = (&mut fresh, &*slot) {
+            if let Some(d) = dst.as_mut_slice() {
+                d.copy_from_slice(src.as_slice());
+            }
+        }
+    }
+    *slot = fresh;
+}
+
+/// The writable f32 buffer of an unpinned arena slot.
+fn f32_buf(slot: &mut DynTensor) -> Option<&mut [f32]> {
+    match slot {
+        DynTensor::F32(t) => t.as_mut_slice(),
+        _ => None,
     }
 }
 

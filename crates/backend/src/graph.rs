@@ -448,6 +448,16 @@ impl Graph {
                     }
                     ins[0]
                 }
+                Op::TreeWalk { .. } => {
+                    let tables_ok = ins.len() >= 3
+                        && ins[1] == DType::I64
+                        && ins[2] == DType::F32
+                        && ins[3..].iter().all(|&d| d == DType::I64);
+                    if ins[0] != DType::F32 || !tables_ok {
+                        return Err(mismatch(id, format!("tree walk over {ins:?}")));
+                    }
+                    DType::I64
+                }
                 Op::IndexSelect { .. } => {
                     if !numeric(ins[0]) {
                         return Err(mismatch(id, format!("index_select on {:?}", ins[0])));
@@ -511,7 +521,7 @@ impl Graph {
                 | Op::Xor
                 | Op::Not
                 | Op::IsNan => DType::Bool,
-                Op::ArgMax { .. } => DType::I64,
+                Op::ArgMax { .. } | Op::TreeWalk { .. } => DType::I64,
                 Op::Cast(dt) => *dt,
                 Op::Where => out[node.inputs[1]],
                 Op::Fused(k) => k.out_dtype,

@@ -38,6 +38,7 @@ pub mod op;
 pub mod optimize;
 pub mod plan;
 pub mod verify;
+pub mod walk;
 
 pub use absint::ValueFact;
 pub use artifact::{Artifact, LirCert};
@@ -56,6 +57,7 @@ pub use lir::{LirError, LirProgram};
 pub use op::Op;
 pub use plan::{Inplace, MemoryPlan, PlanError};
 pub use verify::{GraphSignature, ShapeFact, SymDim};
+pub use walk::WalkKind;
 
 /// Which execution backend a graph is lowered to.
 ///

@@ -14,6 +14,7 @@ use hb_tensor::{DType, DynTensor, Tensor};
 use crate::fuse::FusedKernel;
 use crate::graph::{GraphError, NodeId};
 use crate::verify::{broadcast_dims, broadcast_facts, unify_eq, ShapeFact, SymDim};
+use crate::walk::{self, WalkKind};
 
 /// A single tensor operation in a [`crate::Graph`].
 #[derive(Clone, Debug)]
@@ -72,6 +73,16 @@ pub enum Op {
     /// Batched row lookup: data `[B, N, W]`, i64 index `[B, n]` →
     /// `[B, n, W]` (the TreeTraversal leaf-payload composite).
     GatherRows,
+    /// Fused tree traversal (the Compiled backend's replacement for the
+    /// TT/PTT `Gather`/`Lt`/`Where` ladder): inputs `x [B, F]` plus the
+    /// strategy's node tables, output the i64 `[T, B]` leaf indices the
+    /// ladder computes. See [`crate::walk`] for operands and semantics.
+    TreeWalk {
+        /// TreeTraversal or PerfectTreeTraversal.
+        kind: WalkKind,
+        /// Tree levels walked (the ensemble's maximum depth).
+        depth: usize,
+    },
     /// Selects fixed positions along `axis` (compile-time indices).
     IndexSelect {
         /// Selection axis.
@@ -269,6 +280,7 @@ impl Op {
             | Op::GatherRows
             | Op::Sqdist => 2,
             Op::Where => 3,
+            Op::TreeWalk { kind, .. } => kind.arity(),
             Op::Concat { .. } => return None,
             Op::Fused(k) => k.n_inputs,
             _ => 1,
@@ -351,6 +363,7 @@ impl Op {
                     other => panic!("gather_rows on {:?}", other.dtype()),
                 }
             }
+            Op::TreeWalk { kind, depth } => walk::tree_walk(*kind, *depth, inputs),
             Op::IndexSelect { axis, indices } => match inputs[0] {
                 DynTensor::F32(t) => DynTensor::F32(t.index_select(*axis, indices)),
                 DynTensor::I64(t) => DynTensor::I64(t.index_select(*axis, indices)),
@@ -481,6 +494,14 @@ impl Op {
                     && in_dtypes[0] == out_dtype
                     && in_dtypes[1] == I64
                     && matches!(out_dtype, F32 | I64)
+            }
+            Op::TreeWalk { kind, .. } => {
+                out_dtype == I64
+                    && in_dtypes.len() == kind.arity()
+                    && in_dtypes[0] == F32
+                    && in_dtypes[1] == I64
+                    && in_dtypes[2] == F32
+                    && in_dtypes[3..].iter().all(|&d| d == I64)
             }
             Op::IndexSelect { .. } | Op::Concat { .. } => {
                 matches!(out_dtype, F32 | I64) && all_in(out_dtype)
@@ -738,6 +759,9 @@ impl Op {
             (Op::GatherRows, DestMut::I64(o)) => {
                 inputs[0].as_i64().gather_rows_into(inputs[1].as_i64(), o)
             }
+            (Op::TreeWalk { kind, depth }, DestMut::I64(o)) => {
+                walk::tree_walk_into(*kind, *depth, inputs, o)
+            }
             (Op::IndexSelect { axis, indices }, DestMut::F32(o)) => {
                 inputs[0].as_f32().index_select_into(*axis, indices, o)
             }
@@ -895,6 +919,16 @@ impl Op {
                 bytes: in_bytes + out_bytes,
                 ..OpCost::default()
             },
+            // One comparison per (tree, record, level). Shape-only, like
+            // every other rule: TT's early exit at shallow leaves makes
+            // the real step count data-dependent, and a certificate must
+            // equal the measured counter for every input.
+            Op::TreeWalk { depth, .. } => OpCost {
+                flops: out_n * *depth as f64,
+                bytes: in_bytes + out_bytes,
+                traversals: out_n * *depth as f64,
+                ..OpCost::default()
+            },
             _ => OpCost {
                 flops: out_n,
                 bytes: in_bytes + out_bytes,
@@ -902,9 +936,10 @@ impl Op {
             },
         };
         // Every launched kernel traverses each output element exactly
-        // once; metadata ops traverse nothing. `hb-backend::cost`
-        // mirrors this definition symbolically, so the two must agree.
-        if !c.metadata_only {
+        // once (a tree walk once per level); metadata ops traverse
+        // nothing. `hb-backend::cost` mirrors this definition
+        // symbolically, so the two must agree.
+        if !c.metadata_only && !matches!(self, Op::TreeWalk { .. }) {
             c.traversals = out_n;
         }
         c
@@ -1124,6 +1159,10 @@ impl Op {
                 }
                 (None, None) => Ok(ShapeFact::Any),
             },
+
+            Op::TreeWalk { kind, depth } => {
+                shape_infer_walk(node, self, *kind, *depth, ins, in_consts)
+            }
 
             Op::IndexSelect { axis, indices } => {
                 let Some(d) = ins[0].dims() else {
@@ -1366,6 +1405,82 @@ fn check_const_indices(
     Ok(())
 }
 
+/// Shape rule of [`Op::TreeWalk`]: `x` is `[B, F]`, the TT tables are
+/// four equal `[T, N]` tensors (PTT: two equal `[T·(2^D − 1)]` ones),
+/// and the output is `[T, B]`. Constant tables are range-checked: feature
+/// ids against `F`, TT child pointers against `N`.
+fn shape_infer_walk(
+    node: NodeId,
+    op: &Op,
+    kind: WalkKind,
+    depth: usize,
+    ins: &[ShapeFact],
+    in_consts: &[Option<&DynTensor>],
+) -> Result<ShapeFact, GraphError> {
+    let err = |detail: String| GraphError::ShapeMismatch {
+        node,
+        op: op.label(),
+        operands: ins.to_vec(),
+        detail,
+    };
+    let (b, f) = match ins[0].dims() {
+        Some([b, f]) => (*b, *f),
+        Some(d) => {
+            return Err(err(format!(
+                "tree_walk x must be rank 2 [B, F], got rank {}",
+                d.len()
+            )))
+        }
+        None => (SymDim::Unknown, SymDim::Unknown),
+    };
+    let rank = match kind {
+        WalkKind::Tt => 2,
+        WalkKind::Ptt => 1,
+    };
+    let mut table: Option<&[SymDim]> = None;
+    for s in &ins[1..] {
+        let Some(d) = s.dims() else { continue };
+        if d.len() != rank {
+            return Err(err(format!(
+                "tree_walk {kind:?} tables must be rank {rank}, got rank {}",
+                d.len()
+            )));
+        }
+        if let Some(prev) = table {
+            if prev
+                .iter()
+                .zip(d)
+                .any(|(p, q)| p.known_eq(*q) == Some(false))
+            {
+                return Err(err("tree_walk node tables differ in shape".to_string()));
+            }
+        }
+        table = Some(d);
+    }
+    check_const_indices(node, op, in_consts[1], f)?;
+    let trees = match (kind, table) {
+        (WalkKind::Tt, Some(d)) => {
+            check_const_indices(node, op, in_consts[3], d[1])?;
+            check_const_indices(node, op, in_consts[4], d[1])?;
+            d[0]
+        }
+        (WalkKind::Ptt, _) if depth == 0 || depth >= usize::BITS as usize => {
+            return Err(err(format!("tree_walk PTT depth {depth} out of range")));
+        }
+        (WalkKind::Ptt, Some([SymDim::Unknown])) => SymDim::Unknown,
+        (WalkKind::Ptt, Some(d)) => d[0]
+            .div_exact(SymDim::fixed(walk::perfect_internal(depth)))
+            .ok_or_else(|| {
+                err(format!(
+                    "tree_walk PTT table length {} is not a multiple of 2^{depth} - 1",
+                    d[0]
+                ))
+            })?,
+        (_, None) => SymDim::Unknown,
+    };
+    Ok(ShapeFact::Known(vec![trees, b]))
+}
+
 /// Symbolic counterpart of [`resolve_reshape`]: resolves `0`/`-1`
 /// placeholders over monomial dims and proves element-count
 /// conservation for every batch size.
@@ -1501,6 +1616,7 @@ hb_json::json_enum!(Op {
     Where,
     Gather { axis },
     GatherRows,
+    TreeWalk { kind, depth },
     IndexSelect { axis, indices },
     Concat { axis },
     Reshape { dims },

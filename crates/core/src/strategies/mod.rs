@@ -4,7 +4,7 @@
 pub mod gemm;
 pub mod traversal;
 
-use hb_backend::{Device, GraphBuilder, NodeId, Op};
+use hb_backend::{Backend, Device, GraphBuilder, NodeId, Op};
 use hb_ml::ensemble::{Aggregation, Link, TreeEnsemble};
 use hb_tensor::{DType, Tensor};
 
@@ -50,10 +50,13 @@ pub fn compile_trees(
         TreeStrategy::Auto => heuristic_strategy(ensemble, opts),
         s => s,
     };
+    // Only the Compiled backend fuses the traversal ladder; Eager and
+    // Script keep it as the paper's baselines.
+    let fused = opts.backend == Backend::Compiled;
     let stacked = match strategy {
         TreeStrategy::Gemm => gemm::compile(ensemble, b, x),
-        TreeStrategy::TreeTraversal => traversal::compile_tt(ensemble, b, x),
-        TreeStrategy::PerfectTreeTraversal => traversal::compile_ptt(ensemble, b, x)?,
+        TreeStrategy::TreeTraversal => traversal::compile_tt(ensemble, b, x, fused),
+        TreeStrategy::PerfectTreeTraversal => traversal::compile_ptt(ensemble, b, x, fused)?,
         TreeStrategy::Auto => unreachable!("Auto resolved above"),
     };
     Ok(aggregate(ensemble, b, stacked))

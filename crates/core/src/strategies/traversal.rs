@@ -9,8 +9,15 @@
 //! can be **interleaved across trees** exactly as §4.1 prescribes
 //! ("values corresponding to level i for all trees appear before values
 //! corresponding to level i+1 of any tree").
+//!
+//! On the Compiled backend (`fused`), the unrolled ladder is replaced by
+//! one [`Op::TreeWalk`] over the same node-table constants, producing the
+//! same `[T, n]` leaf indices in a single kernel pass; the leaf-payload
+//! `GatherRows` and the aggregation stay unchanged, so outputs are
+//! bit-identical. Eager and Script keep the ladder as the paper's
+//! PyTorch/TorchScript baselines.
 
-use hb_backend::{GraphBuilder, NodeId};
+use hb_backend::{GraphBuilder, NodeId, Op, WalkKind};
 use hb_ml::ensemble::TreeEnsemble;
 use hb_ml::tree::Tree;
 use hb_tensor::Tensor;
@@ -23,8 +30,14 @@ use super::{batch_zeros_i64, gather_feature_values, gather_leaf_values};
 /// prohibitive (paper §5.1: beyond this only TT applies).
 pub const PTT_MAX_DEPTH: usize = 14;
 
-/// Emits Algorithm 2 (TreeTraversal); returns stacked `[T, n, W]`.
-pub fn compile_tt(ensemble: &TreeEnsemble, gb: &mut GraphBuilder, x: NodeId) -> NodeId {
+/// Emits Algorithm 2 (TreeTraversal) — as one fused [`Op::TreeWalk`]
+/// when `fused` — and returns stacked `[T, n, W]`.
+pub fn compile_tt(
+    ensemble: &TreeEnsemble,
+    gb: &mut GraphBuilder,
+    x: NodeId,
+    fused: bool,
+) -> NodeId {
     let t = ensemble.trees.len();
     let nmax = ensemble.max_nodes().max(1);
     let w = ensemble.trees[0].value_width;
@@ -68,6 +81,15 @@ pub fn compile_tt(ensemble: &TreeEnsemble, gb: &mut GraphBuilder, x: NodeId) -> 
     let n_f = gb.constant(Tensor::from_vec(n_f, &[t, nmax]));
     let n_t = gb.constant(Tensor::from_vec(n_t, &[t, nmax]));
     let n_c = gb.constant(Tensor::from_vec(n_c, &[t, nmax, w]));
+
+    if fused && depth > 0 {
+        let walk = Op::TreeWalk {
+            kind: WalkKind::Tt,
+            depth,
+        };
+        let t_i = gb.push(walk, vec![x, n_f, n_t, n_l, n_r]);
+        return gather_leaf_values(gb, n_c, t_i);
+    }
 
     // T_I ← root (index 0 in our layout); the loop is unrolled
     // TREE_DEPTH times (§4.1: "At compile time, we unroll all
@@ -149,7 +171,8 @@ fn perfect_completion(tree: &Tree, d: usize, w: usize) -> PerfectTree {
     pt
 }
 
-/// Emits Algorithm 3 (PerfectTreeTraversal); returns stacked `[T, n, W]`.
+/// Emits Algorithm 3 (PerfectTreeTraversal) — as one fused
+/// [`Op::TreeWalk`] when `fused` — and returns stacked `[T, n, W]`.
 ///
 /// # Errors
 ///
@@ -160,6 +183,7 @@ pub fn compile_ptt(
     ensemble: &TreeEnsemble,
     gb: &mut GraphBuilder,
     x: NodeId,
+    fused: bool,
 ) -> Result<NodeId, CompileError> {
     let d = ensemble.max_depth();
     if d > PTT_MAX_DEPTH {
@@ -194,14 +218,23 @@ pub fn compile_ptt(
     }
 
     let leaves_c = gb.constant(Tensor::from_vec(leaves, &[t, n_leaves, w]));
-    // T_K: local position within the current level, starting at the root.
-    let mut t_k = batch_zeros_i64(gb, x, t);
     if d == 0 {
         // Stump ensemble: every record lands on the single leaf.
+        let t_k = batch_zeros_i64(gb, x, t);
         return Ok(gather_leaf_values(gb, leaves_c, t_k));
     }
     let feat_c = gb.constant(Tensor::from_vec(feat, &[t * n_internal]));
     let thr_c = gb.constant(Tensor::from_vec(thr, &[t * n_internal]));
+    if fused {
+        let walk = Op::TreeWalk {
+            kind: WalkKind::Ptt,
+            depth: d,
+        };
+        let t_k = gb.push(walk, vec![x, feat_c, thr_c]);
+        return Ok(gather_leaf_values(gb, leaves_c, t_k));
+    }
+    // T_K: local position within the current level, starting at the root.
+    let mut t_k = batch_zeros_i64(gb, x, t);
     let zero = gb.constant(Tensor::scalar(0i64));
     let one = gb.constant(Tensor::scalar(1i64));
     let tidx = gb.constant(Tensor::from_vec((0..t as i64).collect(), &[t, 1]));

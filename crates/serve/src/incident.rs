@@ -140,6 +140,10 @@ impl IncidentLog {
         model: Option<&str>,
         detail: impl Into<String>,
     ) -> u64 {
+        // Incidents are plain data; survive a poisoned lock. The sequence
+        // number is drawn under the lock, so ring order is sequence order
+        // even when threads record concurrently.
+        let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
         let incident = Incident {
             seq,
@@ -149,8 +153,6 @@ impl IncidentLog {
             kind,
             detail: detail.into(),
         };
-        // Incidents are plain data; survive a poisoned lock.
-        let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
         entries.push_back(incident);
         while entries.len() > self.cap {
             entries.pop_front();

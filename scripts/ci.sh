@@ -59,6 +59,16 @@ cargo test -q --offline --test lir
 echo "==> cargo test -q --test codegen (specialized-kernel differential + determinism gate)"
 cargo test -q --offline --test codegen
 
+# Fused tree-walk gate, explicitly: the Compiled backend's TreeWalk
+# kernel (one pass replacing the TT/PTT gather-compare-where ladder)
+# must stay bit-identical with the Eager ladder for stumps, padded and
+# multiclass trees and PTT at its maximum depth, at batches 0/1/63/64/
+# 65/10K over NaN/±Inf/-0.0-seeded rows, on both executors; its
+# verifier and abstract-interpretation facts must prove the leaf
+# gather in bounds, and it must round-trip through artifact JSON.
+echo "==> cargo test -q --test tree_walk (fused traversal differential gate)"
+cargo test -q --offline --test tree_walk
+
 # Static graph audit: export compiled artifacts (graph + signature +
 # value facts) for every tree strategy plus an end-to-end pipeline,
 # then run the hb-lint verifier over them. --deny-analysis promotes any

@@ -10,7 +10,7 @@
 //! `measured ∈ [lo·(1−ε), hi·(1+ε)]` with ε = 0.5, checked across a
 //! model zoo at every certification bucket.
 
-use hummingbird::backend::{cost, Backend, COST_BUCKETS};
+use hummingbird::backend::{cost, Backend, Op, COST_BUCKETS};
 use hummingbird::compiler::{compile, CompileOptions, CompiledModel, TreeStrategy};
 use hummingbird::ml::forest::ForestConfig;
 use hummingbird::ml::gbdt::GbdtConfig;
@@ -34,8 +34,10 @@ fn labels() -> Targets {
 
 /// The zoo: every fitted-operator family the compiler lowers through a
 /// distinct kernel mix — forests on all three tree strategies (gather
-/// vs gemm pipelines), boosted trees, a linear model (pure gemm +
-/// transcendental), and Gaussian naive Bayes (reduce-heavy).
+/// vs gemm pipelines; TT and PTT compile to the fused tree walk),
+/// boosted trees (PTT and TT walks under a softmax link), a linear
+/// model (pure gemm + transcendental), and Gaussian naive Bayes
+/// (reduce-heavy).
 fn zoo() -> Vec<(String, CompiledModel)> {
     let x = features();
     let y = labels();
@@ -90,6 +92,7 @@ fn zoo() -> Vec<(String, CompiledModel)> {
         compile_named("forest/tt", &forest, TreeStrategy::TreeTraversal),
         compile_named("forest/ptt", &forest, TreeStrategy::PerfectTreeTraversal),
         compile_named("gbdt/auto", &gbdt, TreeStrategy::Auto),
+        compile_named("gbdt/tt", &gbdt, TreeStrategy::TreeTraversal),
         compile_named("logistic", &logistic, TreeStrategy::Auto),
         compile_named("gaussian-nb", &nb, TreeStrategy::Auto),
     ]
@@ -108,6 +111,15 @@ fn input_at(batch: usize) -> DynTensor {
 fn certified_counters_and_arena_match_measured_across_zoo() {
     for (name, model) in zoo() {
         let exec = model.executable();
+        if name.ends_with("tt") {
+            assert!(
+                exec.graph()
+                    .nodes
+                    .iter()
+                    .any(|n| matches!(n.op, Op::TreeWalk { .. })),
+                "{name}: the Compiled traversal must be the fused walk"
+            );
+        }
         let certs = cost::cost_certs(exec.graph(), &COST_BUCKETS)
             .unwrap_or_else(|e| panic!("{name}: not certifiable: {e}"));
         assert_eq!(certs.len(), COST_BUCKETS.len(), "{name}: bucket coverage");

@@ -3,9 +3,9 @@
 //! tree strategy and full pipelines, plans must be deterministic, and
 //! warm compiled inference must reach a zero-allocation steady state.
 
-use hummingbird::backend::Backend;
+use hummingbird::backend::{Backend, Device, Executable};
 use hummingbird::compiler::{compile, CompileOptions, TreeStrategy};
-use hummingbird::ml::ensemble::{Aggregation, TreeEnsemble};
+use hummingbird::ml::ensemble::{Aggregation, Link, TreeEnsemble};
 use hummingbird::ml::tree::Tree;
 use hummingbird::pipeline::{fit_pipeline, OpSpec, Pipeline, Targets};
 use hummingbird::tensor::{DynTensor, Tensor};
@@ -339,4 +339,101 @@ fn optimized_pipeline_with_injected_selector_still_plans() {
         planned,
         "optimize_pipeline: true must not defeat the memory planner"
     );
+}
+
+/// A LightGBM-like multiclass booster: `rounds` rounds of one depth-5
+/// tree per class, summed per class, softmax link.
+fn softmax_booster_pipeline(seed: u64, n_features: usize, classes: usize) -> Pipeline {
+    let mut rand = make_rand(seed);
+    let rounds = 3;
+    let trees: Vec<Tree> = (0..rounds * classes)
+        .map(|_| random_tree(5, n_features, 1, &mut rand))
+        .collect();
+    Pipeline::from_op(TreeEnsemble {
+        trees,
+        n_features,
+        n_classes: classes,
+        agg: Aggregation::SumWithLink {
+            base: vec![0.0; classes],
+            link: Link::Softmax,
+            n_groups: classes,
+        },
+    })
+}
+
+/// Runs 40 single-row requests, keeping every answer until the end, and
+/// checks each kept answer bitwise against the Eager reference.
+fn run_keeping_answers(exe: &Executable, rows: &[DynTensor], want: &[Vec<u32>], who: &str) {
+    let mut kept = Vec::with_capacity(rows.len());
+    for row in rows {
+        kept.push(exe.run(std::slice::from_ref(row)).expect("planned run"));
+    }
+    for (r, out) in kept.iter().enumerate() {
+        let got: Vec<u32> = out[0]
+            .as_f32()
+            .to_vec()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(got, want[r], "{who}: kept answer {r} differs from Eager");
+    }
+}
+
+/// Regression: a caller that keeps its answers pins the output's arena
+/// slot across runs. A later run whose in-place step needs that slot
+/// (here as the GEMM panel scratch, the softmax output slot) must get a
+/// fresh buffer and still run inside its slots. Computing outside the
+/// slot instead left the next in-place step reading stale data.
+#[test]
+fn kept_answers_never_corrupt_later_planned_runs() {
+    let (features, classes, n) = (54, 7, 40);
+    let pipe = softmax_booster_pipeline(0x5eed_0729, features, classes);
+    let opts = CompileOptions {
+        device: Device::cpu1(),
+        expected_batch: 1,
+        optimize_pipeline: false,
+        ..Default::default()
+    };
+    let model = compile(&pipe, &opts).expect("compile");
+    let eager = compile(
+        &pipe,
+        &CompileOptions {
+            backend: Backend::Eager,
+            ..opts.clone()
+        },
+    )
+    .expect("compile eager");
+    let x = batch(0xfeed_0729, n, features);
+    let rows: Vec<DynTensor> = (0..n)
+        .map(|r| DynTensor::F32(x.slice(0, r, r + 1).to_contiguous()))
+        .collect();
+    let want: Vec<Vec<u32>> = rows
+        .iter()
+        .map(|row| {
+            let out = eager
+                .executable()
+                .run(std::slice::from_ref(row))
+                .expect("eager");
+            out[0]
+                .as_f32()
+                .to_vec()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        })
+        .collect();
+
+    let exe = model.executable();
+    run_keeping_answers(exe, &rows, &want, "1 thread");
+    let (_, stats) = exe.run_with_stats(&rows[..1]).expect("run");
+    assert!(
+        stats.planned,
+        "single-row runs must be served from the plan"
+    );
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let (rows, want) = (&rows, &want);
+            s.spawn(move || run_keeping_answers(exe, rows, want, &format!("thread {t} of 2")));
+        }
+    });
 }
